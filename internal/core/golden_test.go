@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"testing"
@@ -147,5 +148,91 @@ func TestGoldenRunnerReuse(t *testing.T) {
 		if d := golden.Digest(res); d != golden.Digests[gc.Key] {
 			t.Errorf("%s: reused-Runner digest 0x%016x, pinned 0x%016x", gc.Key, d, golden.Digests[gc.Key])
 		}
+	}
+}
+
+// snapshotDigestPinned is the FNV-1a fold of every RoundInfo the golden
+// matrix hands an OnRound callback (see snapshotDigest). It was recorded
+// with the dedicated n×n matrix planner that used to serve OnRound runs,
+// and pins the snapshot now built from the kernel plan to the same bits.
+const snapshotDigestPinned uint64 = 0x013648030b64b95d
+
+// snapshotDigest folds one RoundInfo into h: the round index, send
+// states, every matrix cell (omitted flag and value bits), the expected
+// values, the post-compute votes, the compute-phase faulty set and U.
+func snapshotDigest(h uint64, ri core.RoundInfo) uint64 {
+	const prime64 = 1099511628211
+	mix := func(x uint64) {
+		h ^= x
+		h *= prime64
+	}
+	mixF := func(v float64) { mix(math.Float64bits(v)) }
+	mix(uint64(ri.Round))
+	mix(uint64(len(ri.SendStates)))
+	for _, s := range ri.SendStates {
+		mix(uint64(s))
+	}
+	n := ri.Matrix.N()
+	mix(uint64(n))
+	for r := 0; r < n; r++ {
+		row, err := ri.Matrix.Row(r)
+		if err != nil {
+			panic(err)
+		}
+		for _, o := range row {
+			if o.Omitted {
+				mix(1)
+			} else {
+				mix(2)
+			}
+			mixF(o.Value)
+		}
+	}
+	mix(uint64(len(ri.Expected)))
+	for _, v := range ri.Expected {
+		mixF(v)
+	}
+	mix(uint64(len(ri.Votes)))
+	for _, v := range ri.Votes {
+		mixF(v)
+	}
+	mix(uint64(len(ri.ComputeFaulty)))
+	for _, p := range ri.ComputeFaulty {
+		mix(uint64(p))
+	}
+	u := ri.U.Values()
+	mix(uint64(len(u)))
+	for _, v := range u {
+		mixF(v)
+	}
+	return h
+}
+
+// TestGoldenOnRoundSnapshot runs the golden matrix with an OnRound callback
+// and folds every round's snapshot into one digest. It pins the snapshot
+// representation (matrix, expected values, U) that the Table 1 classifier
+// and the property tests consume, and asserts the callback does not perturb
+// the pinned run digests.
+func TestGoldenOnRoundSnapshot(t *testing.T) {
+	h := uint64(14695981039346656037)
+	rounds := 0
+	r := core.NewRunner()
+	for _, gc := range goldenCases(t) {
+		cfg := gc.Cfg
+		cfg.OnRound = func(ri core.RoundInfo) {
+			h = snapshotDigest(h, ri)
+			rounds++
+		}
+		res, err := r.Run(cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", gc.Key, err)
+		}
+		if d := golden.Digest(res); d != golden.Digests[gc.Key] {
+			t.Errorf("%s: OnRound digest 0x%016x, pinned 0x%016x", gc.Key, d, golden.Digests[gc.Key])
+		}
+	}
+	t.Logf("%d rounds, snapshot digest 0x%016x", rounds, h)
+	if h != snapshotDigestPinned {
+		t.Errorf("snapshot digest 0x%016x over %d rounds, pinned 0x%016x", h, rounds, snapshotDigestPinned)
 	}
 }
