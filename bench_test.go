@@ -377,9 +377,9 @@ func BenchmarkParallelVote(b *testing.B) {
 	}
 }
 
-// BenchmarkFigure6Engines compares the deterministic engine, the
-// goroutine-per-process engine, and a real TCP cluster on the same workload
-// (F6).
+// BenchmarkFigure6Engines compares the deterministic engine with real
+// goroutine-per-node clusters, over in-memory links and over TCP, on the
+// same workload (F6).
 func BenchmarkFigure6Engines(b *testing.B) {
 	const n, f = 9, 2
 	inputs := make([]float64, n)
@@ -406,11 +406,36 @@ func BenchmarkFigure6Engines(b *testing.B) {
 			}
 		}
 	})
-	b.Run("concurrent", func(b *testing.B) {
+	runCluster := func(b *testing.B, links []transport.Link) {
+		cfgs := make([]cluster.Config, n)
+		for j := range cfgs {
+			cfgs[j] = cluster.Config{
+				ID: j, N: n, F: f,
+				Model:        mobile.M1Garay,
+				Algorithm:    msr.FTM{},
+				Input:        inputs[j],
+				InputRange:   1,
+				Epsilon:      1e-3,
+				RoundTimeout: 250 * time.Millisecond,
+				Schedule:     cluster.RotatingFaults{N: n, F: f},
+			}
+		}
+		if _, err := cluster.RunCluster(context.Background(), cfgs, links); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.Run("memory-cluster", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if _, err := core.RunConcurrent(mkCfg()); err != nil {
+			hub, err := transport.NewChannel(n, 2)
+			if err != nil {
 				b.Fatal(err)
 			}
+			links := make([]transport.Link, n)
+			for j := range links {
+				links[j] = hub.Link(j)
+			}
+			runCluster(b, links)
+			_ = hub.Close()
 		}
 	})
 	b.Run("tcp-cluster", func(b *testing.B) {
@@ -420,23 +445,10 @@ func BenchmarkFigure6Engines(b *testing.B) {
 				b.Fatal(err)
 			}
 			links := make([]transport.Link, n)
-			cfgs := make([]cluster.Config, n)
-			for j := range cfgs {
+			for j := range links {
 				links[j] = nodes[j]
-				cfgs[j] = cluster.Config{
-					ID: j, N: n, F: f,
-					Model:        mobile.M1Garay,
-					Algorithm:    msr.FTM{},
-					Input:        inputs[j],
-					InputRange:   1,
-					Epsilon:      1e-3,
-					RoundTimeout: 250 * time.Millisecond,
-					Schedule:     cluster.RotatingFaults{N: n, F: f},
-				}
 			}
-			if _, err := cluster.RunCluster(context.Background(), cfgs, links); err != nil {
-				b.Fatal(err)
-			}
+			runCluster(b, links)
 			for _, nd := range nodes {
 				_ = nd.Close()
 			}

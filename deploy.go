@@ -415,6 +415,22 @@ func (s ClusterSpec) configs(topo ClusterTopology) ([]cluster.Config, error) {
 	return cfgs, nil
 }
 
+// horizon resolves the round horizon of one instance from its node config,
+// for Deploy and Serve alike. Without FixedRounds under active chaos, the
+// contraction-derived count is stretched: injected loss slows contraction
+// and heal-bounded windows stall whole rounds, so the horizon grows by
+// twice the drop+corrupt rate and by the chaos heal span.
+func horizon(cfg cluster.Config, chaos *ChaosSpec) (int, error) {
+	rounds, err := cfg.Rounds()
+	if err != nil {
+		return 0, configErrorf("FixedRounds", "%v", err)
+	}
+	if chaos.Active() && cfg.FixedRounds == 0 {
+		rounds = int(math.Ceil(float64(rounds)*(1+2*(chaos.DropRate+chaos.CorruptRate)))) + chaos.HealSpan()
+	}
+	return rounds, nil
+}
+
 // Deploy validates the spec, resolves its topology and schedule, opens the
 // links (in-memory channels or a loopback TCP mesh with HMAC-authenticated
 // frames) and returns a Deployment ready to Run. Spec validation failures
@@ -445,17 +461,13 @@ func (e *Engine) Deploy(spec ClusterSpec) (*Deployment, error) {
 	if err := cfgs[0].Validate(); err != nil {
 		return nil, err
 	}
-	rounds, err := cfgs[0].Rounds()
+	rounds, err := horizon(cfgs[0], spec.Chaos)
 	if err != nil {
-		return nil, configErrorf("FixedRounds", "%v", err)
+		return nil, err
 	}
 	if spec.Chaos.Active() && spec.FixedRounds == 0 {
-		// Injected loss slows contraction and heal-bounded windows stall
-		// whole rounds: stretch the contraction-derived horizon to absorb
-		// both, and pin it into every node's config so the cluster still
-		// halts in lockstep.
-		rounds = int(math.Ceil(float64(rounds)*(1+2*(spec.Chaos.DropRate+spec.Chaos.CorruptRate)))) +
-			spec.Chaos.HealSpan()
+		// Pin the stretched horizon into every node's config so the
+		// cluster still halts in lockstep.
 		for i := range cfgs {
 			cfgs[i].FixedRounds = rounds
 		}

@@ -102,8 +102,8 @@
 // # Determinism guarantee
 //
 // A run is identified by its Spec and seed, and replays bit-identically —
-// across the deterministic and concurrent engines, across pooled and fresh
-// runners, across Run and Stream, and across worker counts in RunBatch
+// across pooled and fresh runners, across Run and Stream, and across
+// worker counts in RunBatch
 // (the hot path performs O(1) allocations per round). The golden-
 // determinism suite (internal/golden) pins recorded output digests for a
 // matrix of models, algorithms, adversaries and seeds, and every public
@@ -127,9 +127,11 @@
 // function consumes it with the same left-to-right summation (no sums are
 // re-associated), so the determinism guarantee above is unaffected — the
 // golden digests were recorded on the pre-kernel engine and still hold.
-// Runs with an OnRound callback keep the full matrix representation (the
-// snapshot path), which doubles as the kernel's naive cross-check
-// reference in internal/proptest.
+// Every run votes on the kernel. Runs with an OnRound callback (Stream,
+// the Table 1 classifier) additionally get the full matrix, expected
+// values and U built from the round's kernel plan. The naive per-receiver
+// reference — sort the full matrix row, apply the voting function — lives
+// in internal/proptest, which checks every kernel vote against it.
 //
 // # The chaos layer and its determinism contract
 //

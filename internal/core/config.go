@@ -5,11 +5,11 @@
 // (Definitions 4–10), and runtime checkers for Lemma 5, Observation 1 and
 // the Theorem 1 mobile→static equivalence.
 //
-// Two engines share one set of round semantics: a deterministic
-// single-threaded engine (reproducible, benchable) and a concurrent engine
-// in which every process is a goroutine exchanging messages over channels.
-// Both produce bit-identical results for the same Config, which the test
-// suite asserts.
+// One deterministic engine runs every round over a base+patch kernel plan
+// of the send phase (reproducible, benchable; the vote loop fans out over
+// receivers for large systems without changing any result bit). The
+// goroutine-per-node execution lives in internal/cluster, where processes
+// exchange real messages over a transport.
 package core
 
 import (
@@ -73,7 +73,7 @@ type Config struct {
 	// Theorem 1 invariant checkers. They are meaningful when n exceeds
 	// the model bound; below it, violations are expected and recorded.
 	EnableCheckers bool
-	// VoteWorkers bounds the deterministic engine's per-round parallel
+	// VoteWorkers bounds the engine's per-round parallel
 	// vote loop (the kernel path's per-receiver patch-sort-and-merge over
 	// the shared read-only base). 0, the default, auto-selects: sequential
 	// below the crossover size or when runtime.GOMAXPROCS(0) is 1, one
@@ -89,12 +89,12 @@ type Config struct {
 	// phase with a full snapshot (observation matrix included). It is the
 	// hook the Table 1 experiment uses to classify behaviour.
 	OnRound func(RoundInfo)
-	// Ctx, when non-nil, makes the run cancellable: both engines check it
-	// once per round boundary and abort with the context's error (wrapping
+	// Ctx, when non-nil, makes the run cancellable: the engine checks it
+	// once per round boundary and aborts with the context's error (wrapping
 	// context.Canceled / context.DeadlineExceeded). The check happens only
 	// between rounds — never mid-round — so the steady-state round loop
-	// stays allocation-free and the concurrent engine's worker goroutines
-	// are always quiescent when the run aborts. A nil Ctx means the run
+	// stays allocation-free and the parallel vote workers are always
+	// joined when the run aborts. A nil Ctx means the run
 	// cannot be cancelled; it is NOT defaulted to context.Background, so
 	// the hot path pays a single pointer test.
 	Ctx context.Context

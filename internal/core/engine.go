@@ -11,12 +11,10 @@ import (
 	"mbfaa/internal/trace"
 )
 
-// Run executes the protocol on the deterministic single-threaded engine and
-// returns the Result. It is the reference implementation of the round
-// semantics; RunConcurrent produces bit-identical results over real
-// message-passing goroutines. Callers executing many runs should hold a
-// Runner and call its Run method instead, which recycles all per-round
-// scratch state; this function is equivalent to NewRunner().Run(cfg).
+// Run executes the protocol on the deterministic engine and returns the
+// Result. Callers executing many runs should hold a Runner and call its Run
+// method instead, which recycles all per-round scratch state; this function
+// is equivalent to NewRunner().Run(cfg).
 func Run(cfg Config) (*Result, error) {
 	return NewRunner().Run(cfg)
 }
@@ -93,7 +91,6 @@ type scratch struct {
 	faulty faultySet
 
 	sendStates []mobile.State // send-phase state snapshot for the checkers
-	values     []float64      // computeVote's non-omitted value buffer (snapshot path)
 	uValues    []float64      // planSendPhase's U accumulation buffer
 
 	// Batched-consultation state: the per-round directives block the
@@ -137,7 +134,6 @@ func (sc *scratch) ensure(n int) error {
 		sc.viewVotes = make([]float64, n)
 		sc.viewStates = make([]mobile.State, n)
 		sc.sendStates = make([]mobile.State, n)
-		sc.values = make([]float64, 0, n)
 		sc.uValues = make([]float64, 0, n)
 		sc.pvals = make([]float64, 0, n)
 		sc.merged = make([]float64, 0, n)
@@ -163,8 +159,8 @@ func (sc *scratch) ensureVoteBufs(workers, n int) {
 }
 
 // Runner executes protocol runs while recycling all per-round scratch
-// state: vote and state buffers, the adversary view, the observation
-// matrix, the faulty set, and the computation-phase value buffer. A Runner
+// state: vote and state buffers, the adversary view, the kernel plan, the
+// faulty set, and the vote loop's patch and merge buffers. A Runner
 // is NOT safe for concurrent use — hold one per goroutine (internal/sweep
 // gives each pool worker its own). Results remain valid after the Runner is
 // reused: everything a Result carries is copied out of scratch at the end
@@ -208,7 +204,7 @@ func (r *Runner) Run(cfg Config) (*Result, error) {
 	return st.result(), nil
 }
 
-// checkCtx is the once-per-round cancellation probe shared by both engines.
+// checkCtx is the once-per-round cancellation probe.
 // The nil test keeps uncancellable runs free of any context machinery; the
 // non-nil path is a single atomic load inside ctx.Err, no allocation.
 func checkCtx(ctx context.Context, round int) error {
@@ -244,7 +240,8 @@ type runState struct {
 	// snapshot is set when Config.OnRound is non-nil: the per-round
 	// matrix, send states, expected values and U must then be freshly
 	// allocated, because the callback may legitimately retain them (the
-	// Table 1 experiment does). Without a callback they live in scratch.
+	// Table 1 experiment does). Without a callback no matrix is built and
+	// the rest lives in scratch.
 	snapshot bool
 	// copyViews is set when the adversary declares (via
 	// mobile.ViewRetainer) that it retains views across calls; the engine
@@ -432,34 +429,14 @@ func (st *runState) runRound(round int) error {
 		}
 	}
 
-	// Receive + compute for every process not faulty during computation.
-	// On the kernel path each receiver gathers its O(f) patch, sorts it,
-	// and merges it linearly into the round's shared sorted base — a loop
-	// that parallelizes over receivers when the system is large enough
-	// (see computeVotesKernel); on the snapshot path it sorts its full
-	// matrix row as before. All paths produce bit-identical votes (the
-	// golden suite pins this at multiple worker counts).
-	tau := cfg.Tau()
-	if plan.kern != nil {
-		if err := st.computeVotesKernel(round, tau, plan.kern); err != nil {
-			return err
-		}
-	} else {
-		for i := 0; i < cfg.N; i++ {
-			if st.faulty.has(i) {
-				st.newVotes[i] = math.NaN()
-				continue
-			}
-			obsRow, err := plan.matrix.Row(i)
-			if err != nil {
-				return err
-			}
-			v, err := computeVote(cfg.Algorithm, tau, obsRow, st.votes[i], st.sc.values[:0])
-			if err != nil {
-				return fmt.Errorf("core: round %d process %d: %w", round, i, err)
-			}
-			st.newVotes[i] = v
-		}
+	// Receive + compute for every process not faulty during computation:
+	// each receiver gathers its O(f) patch, sorts it, and merges it
+	// linearly into the round's shared sorted base — a loop that
+	// parallelizes over receivers when the system is large enough (see
+	// computeVotesKernel). Every worker count produces bit-identical votes
+	// (the golden suite pins this).
+	if err := st.computeVotesKernel(round, cfg.Tau(), plan.kern); err != nil {
+		return err
 	}
 	if st.rec.Enabled() {
 		for i := 0; i < cfg.N; i++ {
@@ -474,8 +451,7 @@ func (st *runState) runRound(round int) error {
 }
 
 // finishRound runs the checkers and the OnRound callback, installs the new
-// votes, refreshes cured states, and extends the diameter series. It is
-// shared by both engines.
+// votes, refreshes cured states, and extends the diameter series.
 func (st *runState) finishRound(round int, sendStates []mobile.State, plan plannedRound) {
 	cfg := st.cfg
 	if st.report != nil {

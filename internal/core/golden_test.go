@@ -12,9 +12,8 @@ import (
 	"mbfaa/internal/mobile"
 )
 
-// The golden-determinism suite pins the exact outputs of Run and
-// RunConcurrent for a matrix of {model} × {algorithm} × {adversary} × {seed}
-// configurations. The case matrix and the pinned digests live in
+// The golden-determinism suite pins the exact outputs of Run for a matrix
+// of {model} × {algorithm} × {adversary} × {seed} configurations. The case matrix and the pinned digests live in
 // internal/golden (shared with the public facade's equivalence suite): the
 // digests were recorded from the pre-refactor (PR 1) reference engine
 // before the PR-2 scratch-reuse optimization landed, and must never change.
@@ -68,24 +67,6 @@ func TestGoldenDigests(t *testing.T) {
 		}
 		if got[gc.Key] != want {
 			t.Errorf("%s: digest 0x%016x, pinned 0x%016x — engine output changed", gc.Key, got[gc.Key], want)
-		}
-	}
-}
-
-// TestGoldenDigestsConcurrent asserts the goroutine-per-process engine
-// reproduces the same pinned digests: optimizations must keep both engines
-// bit-identical to each other AND to the recorded history.
-func TestGoldenDigestsConcurrent(t *testing.T) {
-	if testing.Short() {
-		t.Skip("concurrent golden sweep is slow under -short")
-	}
-	for _, gc := range goldenCases(t) {
-		res, err := core.RunConcurrent(gc.Cfg)
-		if err != nil {
-			t.Fatalf("%s: %v", gc.Key, err)
-		}
-		if d := golden.Digest(res); d != golden.Digests[gc.Key] {
-			t.Errorf("%s: concurrent digest 0x%016x, pinned 0x%016x", gc.Key, d, golden.Digests[gc.Key])
 		}
 	}
 }

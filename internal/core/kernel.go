@@ -18,46 +18,23 @@ import (
 // to everybody, so two receivers' multisets differ only in the entries of
 // the asymmetric senders (faulty processes and M3-cured poisoned queues),
 // at most 2f of them. The kernel plan stores exactly that factored form:
-// one base sorted once per round, plus an |asym|×n patch block. On the hot
-// path (no OnRound snapshot) planSendPhase emits this form directly and the
-// matrix is never materialized; the matrix and the per-sender expected
-// values remain the snapshot representation for OnRound consumers.
-
-// senderKind classifies one sender's send-phase behaviour in a kernel plan.
-// The zero value is deliberately invalid: every sender must be classified
-// by the planning loop, and the concurrent engine's plan verification
-// treats an unclassified sender as a protocol error.
-type senderKind uint8
-
-const (
-	// kindSymmetric senders delivered symVal to every receiver (correct
-	// processes, M2-cured rebroadcasters). Their contributions form the base.
-	kindSymmetric senderKind = iota + 1
-	// kindSilent senders delivered nothing to anybody (M1-cured processes,
-	// aware of their state). They contribute neither base nor patch.
-	kindSilent
-	// kindAsymmetric senders delivered per-receiver values or omissions
-	// (faulty processes, M3-cured queues). Their observations live in the
-	// patch block.
-	kindAsymmetric
-)
+// one base sorted once per round, plus an |asym|×n patch block. Every round
+// is planned and voted in this form; the matrix and the per-sender expected
+// values are only materialized from the plan for OnRound snapshots.
 
 // kernelPlan is one round's send phase in base+patch form. Its slices live
 // in the Runner's scratch and grow monotonically; a plan is valid until the
-// next round is planned. The concurrent engine shares the plan read-only
-// with its worker goroutines (the channel send/receive pairs order every
-// write before every read), and the deterministic engine's parallel vote
-// loop shares it read-only with its vote workers.
+// next round is planned. The parallel vote loop shares it read-only with
+// its vote workers.
 type kernelPlan struct {
-	n int
 	// base holds the symmetric senders' values, sorted ascending after
 	// sealBase. Every receiver's multiset contains all of it.
 	base []float64
-	// kinds[s] classifies sender s; symVal[s] is the value a kindSymmetric
-	// sender broadcast (a copy taken at planning time — votes move on under
-	// M4's mid-round relocation, plans do not).
-	kinds  []senderKind
-	symVal []float64
+	// symmetric[s] marks a sender that delivered its stored vote to every
+	// receiver (a correct process or an M2-cured rebroadcaster); its value
+	// is in the base. Silent senders (M1-cured) are in neither base nor
+	// patch block.
+	symmetric []bool
 	// dirs is the round's adversarial send script — the Directives block
 	// the batched consultation filled. Its sender list is exactly the
 	// plan's asymmetric senders, ascending.
@@ -66,15 +43,12 @@ type kernelPlan struct {
 
 // reset prepares the plan for a round of n senders, recycling all buffers.
 func (kp *kernelPlan) reset(n int) {
-	kp.n = n
-	if cap(kp.kinds) < n {
-		kp.kinds = make([]senderKind, n)
-		kp.symVal = make([]float64, n)
+	if cap(kp.symmetric) < n {
+		kp.symmetric = make([]bool, n)
 	}
-	kp.kinds = kp.kinds[:n]
-	kp.symVal = kp.symVal[:n]
-	for i := range kp.kinds {
-		kp.kinds[i] = 0
+	kp.symmetric = kp.symmetric[:n]
+	for i := range kp.symmetric {
+		kp.symmetric[i] = false
 	}
 	kp.base = kp.base[:0]
 	kp.dirs = nil
@@ -82,8 +56,7 @@ func (kp *kernelPlan) reset(n int) {
 
 // addSymmetric registers sender as broadcasting v to every receiver.
 func (kp *kernelPlan) addSymmetric(sender int, v float64) {
-	kp.kinds[sender] = kindSymmetric
-	kp.symVal[sender] = v
+	kp.symmetric[sender] = true
 	kp.base = append(kp.base, v)
 }
 
@@ -96,29 +69,29 @@ func (kp *kernelPlan) patchInto(dst []float64, receiver int) []float64 {
 	return kp.dirs.AppendRow(dst, receiver)
 }
 
-// scriptRow rebuilds asymmetric sender's outgoing messages for the
-// concurrent engine's scripted send directive. The slice is handed to a
-// worker goroutine that drains it at its own pace, so it is freshly
-// allocated rather than scratch-backed.
-func (kp *kernelPlan) scriptRow(sender, round int) ([]message, error) {
-	k, ok := kp.dirs.Index(sender)
-	if !ok {
-		return nil, fmt.Errorf("core: sender %d not in the plan's asymmetric set", sender)
-	}
-	out := make([]message, kp.n)
-	for j := 0; j < kp.n; j++ {
-		v, omit := kp.dirs.At(k, j)
-		out[j] = message{round: round, from: sender, value: v, omitted: omit}
-	}
-	return out, nil
-}
-
-// planKernelSendPhase is planSendPhase's hot-path twin: it classifies every
-// sender in one ascending pass, then obtains the whole adversarial script
-// in a single batched RoundDirectives consultation, and emits the
-// base+patch form without ever touching an observation matrix. U is
-// accumulated (over scratch) only when the checkers will read it.
-func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
+// planSendPhase computes one round's send phase in base+patch form. It
+// classifies every sender in one ascending pass, then consults the
+// adversary exactly once, through the batched RoundAdversary surface, with
+// the consultation order inside the directives block pinned — senders
+// ascending, receivers ascending within each scripted sender — so that
+// randomized adversaries behave identically to the historical per-pair
+// calls, which the compatibility Adapter replays in that same order.
+//
+// Send semantics per state (paper §3 and Lemmas 1–4):
+//
+//	correct      broadcast stored vote to everyone (including itself)
+//	faulty       per-receiver adversary-chosen value or omission
+//	cured, M1    silent (aware of its state)
+//	cured, M2    broadcast stored (corrupted) vote — symmetric
+//	cured, M3    per-receiver values from the agent-prepared queue
+//	cured, M4    cannot occur: agents move with messages, so no process
+//	             is cured during a send phase
+//
+// U is accumulated only when the checkers or an OnRound callback will read
+// it: over scratch for the checkers, freshly allocated for a callback, which
+// may retain it. With a callback the plan also carries the observation
+// matrix and expected values (see materialize).
+func (st *runState) planSendPhase(round int) (plannedRound, error) {
 	cfg := st.cfg
 	votes, states := st.votes, st.states
 	kp := &st.sc.kern
@@ -127,9 +100,9 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 	d.Reset(cfg.N)
 	faulty := st.sc.fList[:0]
 	cured := st.sc.cList[:0]
-	needU := st.report != nil
-	var uValues []float64
-	if needU {
+	needU := st.report != nil || st.snapshot
+	var uValues []float64 // fresh under a callback, which may retain U
+	if !st.snapshot {
 		uValues = st.sc.uValues[:0]
 	}
 
@@ -141,7 +114,6 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 			}
 			kp.addSymmetric(sender, votes[sender])
 		case mobile.StateFaulty:
-			kp.kinds[sender] = kindAsymmetric
 			faulty = append(faulty, sender)
 			d.AddSender(sender, false)
 		case mobile.StateCured:
@@ -149,11 +121,9 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 			switch cfg.Model {
 			case mobile.M1Garay:
 				// Aware and silent: no receiver observes anything.
-				kp.kinds[sender] = kindSilent
 			case mobile.M2Bonnet:
 				kp.addSymmetric(sender, votes[sender])
 			case mobile.M3Sasaki:
-				kp.kinds[sender] = kindAsymmetric
 				d.AddSender(sender, true)
 			case mobile.M4Buhrman:
 				return plannedRound{}, fmt.Errorf("core: cured process %d during an M4 send phase", sender)
@@ -173,7 +143,56 @@ func (st *runState) planKernelSendPhase(round int) (plannedRound, error) {
 		}
 		plan.u = u
 	}
+	if st.snapshot {
+		var err error
+		if plan.matrix, plan.expected, err = st.materialize(kp); err != nil {
+			return plannedRound{}, err
+		}
+	}
 	return plan, nil
+}
+
+// materialize builds the round's OnRound snapshot from the kernel plan: the
+// full observation matrix and the value each sender would have broadcast
+// had it been correct (NaN for faulty and cured senders). It reads the
+// send-phase votes and states, so it runs before M4's mid-round move. Both
+// are freshly allocated, because the callback may retain them.
+func (st *runState) materialize(kp *kernelPlan) (*mixedmode.Matrix, []float64, error) {
+	n := st.cfg.N
+	matrix, err := mixedmode.NewMatrix(n)
+	if err != nil {
+		return nil, nil, err
+	}
+	record := func(receiver, sender int, v float64) {
+		if err == nil {
+			err = matrix.Record(receiver, sender, mixedmode.Observation{Value: v})
+		}
+	}
+	expected := make([]float64, n)
+	for s, sym := range kp.symmetric {
+		expected[s] = math.NaN()
+		if st.states[s] == mobile.StateCorrect {
+			expected[s] = st.votes[s]
+		}
+		if sym {
+			for r := 0; r < n; r++ {
+				record(r, s, st.votes[s])
+			}
+		}
+	}
+	// Silent senders and omitted directives stay Omitted.
+	d := kp.dirs
+	for k := 0; k < d.Len(); k++ {
+		for r := 0; r < n; r++ {
+			if v, omit := d.At(k, r); !omit {
+				record(r, d.Sender(k), v)
+			}
+		}
+	}
+	if err != nil {
+		return nil, nil, err
+	}
+	return matrix, expected, nil
 }
 
 // consultRound performs the round's single adversary consultation: it seals
@@ -192,13 +211,19 @@ func (st *runState) consultRound(round int, faulty, cured []int, d *mobile.Direc
 	st.batch.RoundDirectives(&st.sc.rview, d)
 }
 
-// computeVoteKernel is computeVote over the base+patch form: sort the O(f)
-// patch, merge it linearly into the shared sorted base, and apply the
-// voting function over the merged sequence — the same ascending order and
-// left-to-right summation the per-receiver sort produces, so the result is
-// bit-identical. patch is sorted in place; merged is the caller's scratch
-// (length 0, capacity ≥ len(base)+len(patch)). The total-silence fallback
-// mirrors computeVote: retain the previous value.
+// computeVoteKernel applies the voting function to one receiver's multiset
+// in base+patch form: sort the O(f) patch, merge it linearly into the
+// shared sorted base, and apply the voting function over the merged
+// sequence — the same ascending order and left-to-right summation a sort of
+// the receiver's full row produces, so the result is bit-identical to
+// msr.ApplyCapped over that row (internal/proptest checks it against that
+// naive reference). patch is sorted in place; merged is the caller's
+// scratch (length 0, capacity ≥ len(base)+len(patch)). Trimming degrades
+// gracefully when omissions leave fewer than 2τ+1 values (ApplySorted caps
+// τ so one value survives); above the replica bound the cap never engages.
+// On total silence the process retains its previous value (a real protocol
+// has nothing better); a NaN previous value means it had no usable state,
+// which cannot happen for a non-faulty process with n > 1.
 func computeVoteKernel(algo msr.Algorithm, tau int, base, patch, merged []float64, previous float64) (float64, error) {
 	sort.Float64s(patch)
 	merged = msr.MergeSorted(merged, base, patch)
@@ -209,34 +234,4 @@ func computeVoteKernel(algo msr.Algorithm, tau int, base, patch, merged []float6
 		return previous, nil
 	}
 	return msr.ApplySorted(algo, merged, tau)
-}
-
-// kernelWorkerVote is the concurrent engine's verified kernel compute: the
-// worker first checks every actually-received observation against the plan
-// — symmetric senders must have delivered exactly their base value, silent
-// senders nothing — then votes over the shared sorted base plus the patch
-// it actually received from the asymmetric senders. The verification is the
-// message-passing engine's plan-equivalence guarantee made explicit: a
-// mismatch means the goroutines did not reproduce the planned send phase.
-func kernelWorkerVote(algo msr.Algorithm, tau int, kp *kernelPlan, row []mixedmode.Observation, previous float64, patch, merged []float64) (float64, error) {
-	for s, o := range row {
-		switch kp.kinds[s] {
-		case kindSymmetric:
-			if o.Omitted || o.Value != kp.symVal[s] {
-				return 0, fmt.Errorf("core: plan verification: symmetric sender %d delivered (%v, omitted=%v), plan says %v",
-					s, o.Value, o.Omitted, kp.symVal[s])
-			}
-		case kindSilent:
-			if !o.Omitted {
-				return 0, fmt.Errorf("core: plan verification: silent sender %d delivered %v", s, o.Value)
-			}
-		case kindAsymmetric:
-			if !o.Omitted {
-				patch = append(patch, o.Value)
-			}
-		default:
-			return 0, fmt.Errorf("core: plan verification: sender %d unclassified", s)
-		}
-	}
-	return computeVoteKernel(algo, tau, kp.base, patch, merged, previous)
 }

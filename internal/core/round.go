@@ -1,18 +1,14 @@
 package core
 
 import (
-	"fmt"
-	"math"
-
 	"mbfaa/internal/mixedmode"
 	"mbfaa/internal/mobile"
-	"mbfaa/internal/msr"
 	"mbfaa/internal/multiset"
 )
 
-// Labels for deriving per-phase adversary random streams. Both engines
-// derive the same streams, which keeps randomized adversaries identical
-// across engines.
+// Labels for deriving per-phase adversary random streams: each decision
+// point draws from its own stream, so a randomized adversary's choices at
+// one point cannot shift its choices at another.
 const (
 	phasePlace uint64 = iota + 1
 	phaseSend
@@ -46,15 +42,12 @@ type RoundInfo struct {
 	U multiset.Multiset
 }
 
-// plannedRound holds the fully determined send phase of one round, in one
-// of two representations. On the hot path (no OnRound callback) kern holds
-// the base+patch kernel form and no matrix exists; when OnRound is set the
-// observation matrix and expected values are materialized instead, because
-// the callback may legitimately retain them. Both engines consume the same
-// plan; the concurrent engine additionally verifies that the messages its
-// goroutines actually exchanged reproduce the plan exactly. Kernel plans
-// live in the engine's scratch and are only valid until the next round is
-// planned; snapshot plans are freshly allocated.
+// plannedRound holds the fully determined send phase of one round. kern is
+// the base+patch kernel form every round votes over; it lives in the
+// engine's scratch and is only valid until the next round is planned. When
+// OnRound is set the plan also carries the observation matrix and expected
+// values materialized from kern, freshly allocated because the callback
+// may retain them. u is set only when the checkers or the callback read it.
 type plannedRound struct {
 	kern     *kernelPlan
 	matrix   *mixedmode.Matrix
@@ -127,134 +120,4 @@ func (st *runState) freshView(round int, phase uint64) *mobile.View {
 		States: append([]mobile.State(nil), st.states...),
 		Rng:    st.master.Derive(uint64(round), phase),
 	}
-}
-
-// planSendPhase computes one round's send phase. The adversary is consulted
-// exactly once, through the batched RoundAdversary surface, with the
-// consultation order inside the directives block pinned — senders
-// ascending, receivers ascending within each scripted sender — so that
-// randomized adversaries behave identically in both engines and on both
-// plan representations (and identically to the historical per-pair calls,
-// which the compatibility Adapter replays in that same order).
-//
-// Send semantics per state (paper §3 and Lemmas 1–4):
-//
-//	correct      broadcast stored vote to everyone (including itself)
-//	faulty       per-receiver adversary-chosen value or omission
-//	cured, M1    silent (aware of its state)
-//	cured, M2    broadcast stored (corrupted) vote — symmetric
-//	cured, M3    per-receiver values from the agent-prepared queue
-//	cured, M4    cannot occur: agents move with messages, so no process
-//	             is cured during a send phase
-//
-// On the hot path (no OnRound callback) the plan is emitted in base+patch
-// kernel form and the n×n observation matrix is skipped entirely; U is
-// built — over scratch — only when the checkers will read it. The matrix
-// path below serves OnRound snapshots, whose consumers (the Table 1
-// classifier) need the full matrix and the expected values and may retain
-// them, so everything is freshly allocated.
-func (st *runState) planSendPhase(round int) (plannedRound, error) {
-	if !st.snapshot {
-		return st.planKernelSendPhase(round)
-	}
-	cfg := st.cfg
-	votes, states := st.votes, st.states
-
-	matrix, err := mixedmode.NewMatrix(cfg.N)
-	if err != nil {
-		return plannedRound{}, err
-	}
-	expected := make([]float64, cfg.N)
-	var uValues []float64
-
-	d := &st.sc.dirs
-	d.Reset(cfg.N)
-	faulty := st.sc.fList[:0]
-	cured := st.sc.cList[:0]
-	for sender := 0; sender < cfg.N; sender++ {
-		switch states[sender] {
-		case mobile.StateCorrect:
-			expected[sender] = votes[sender]
-			uValues = append(uValues, votes[sender])
-			for receiver := 0; receiver < cfg.N; receiver++ {
-				if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: votes[sender]}); err != nil {
-					return plannedRound{}, err
-				}
-			}
-		case mobile.StateFaulty:
-			expected[sender] = math.NaN()
-			faulty = append(faulty, sender)
-			d.AddSender(sender, false)
-		case mobile.StateCured:
-			expected[sender] = math.NaN()
-			cured = append(cured, sender)
-			switch cfg.Model {
-			case mobile.M1Garay:
-				// Aware and silent: every entry stays Omitted.
-			case mobile.M2Bonnet:
-				for receiver := 0; receiver < cfg.N; receiver++ {
-					if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: votes[sender]}); err != nil {
-						return plannedRound{}, err
-					}
-				}
-			case mobile.M3Sasaki:
-				d.AddSender(sender, true)
-			case mobile.M4Buhrman:
-				return plannedRound{}, fmt.Errorf("core: cured process %d during an M4 send phase", sender)
-			}
-		default:
-			return plannedRound{}, fmt.Errorf("core: process %d in invalid state %v", sender, states[sender])
-		}
-	}
-
-	// One batched consultation fills the adversarial entries; Directives.Set
-	// already sanitised NaN into omissions, so non-omitted entries transfer
-	// to the matrix unconditionally.
-	st.consultRound(round, faulty, cured, d)
-	for k, m := 0, d.Len(); k < m; k++ {
-		sender := d.Sender(k)
-		for receiver := 0; receiver < cfg.N; receiver++ {
-			val, omit := d.At(k, receiver)
-			if omit {
-				continue // entry remains Omitted
-			}
-			if err := matrix.Record(receiver, sender, mixedmode.Observation{Value: val}); err != nil {
-				return plannedRound{}, err
-			}
-		}
-	}
-
-	plan := plannedRound{matrix: matrix, expected: expected}
-	u, err := multiset.FromOwned(uValues)
-	if err != nil {
-		return plannedRound{}, fmt.Errorf("core: building U: %w", err)
-	}
-	plan.u = u
-	return plan, nil
-}
-
-// computeVote applies the voting function to one receiver's observation
-// row, accumulating the non-omitted values in the provided scratch buffer
-// (passed with length 0; capacity must cover len(row), which the engines
-// guarantee). Trimming degrades gracefully when omissions leave fewer than
-// 2τ+1 values: the process trims as much as it can while keeping one
-// survivor (τ_eff = min(τ, (m−1)/2)). Above the replica bound τ_eff always
-// equals τ; the degradation only matters in deliberately sub-bound runs.
-func computeVote(algo msr.Algorithm, tau int, row []mixedmode.Observation, previous float64, scratch []float64) (float64, error) {
-	values := scratch
-	for _, o := range row {
-		if !o.Omitted {
-			values = append(values, o.Value)
-		}
-	}
-	if len(values) == 0 {
-		// Total silence: retain the previous value (a real protocol has
-		// nothing better); NaN previous means the process had no usable
-		// state, which cannot happen for a non-faulty process with n > 1.
-		if math.IsNaN(previous) {
-			return 0, fmt.Errorf("core: no values received and no previous state")
-		}
-		return previous, nil
-	}
-	return msr.ApplyCapped(algo, values, tau)
 }

@@ -2,10 +2,11 @@
 // of {model} × {algorithm} × {adversary} × {seed} configurations together
 // with the recorded digest of every observable Result field. The digests
 // were recorded from the pre-refactor (PR 1) reference engine and must
-// never change: the core engine tests assert them for Run, RunConcurrent
-// and reused Runners, and the public facade asserts them for Engine.Run,
-// Engine.Stream, Engine.RunBatch and the legacy Run — so no optimization or
-// API layer can silently change protocol semantics.
+// never change: the core engine tests assert them for Run, reused Runners,
+// the adapter, parallel vote workers and OnRound runs, and the public
+// facade asserts them for Engine.Run, Engine.Stream, Engine.RunBatch and
+// the legacy Run — so no optimization or API layer can silently change
+// protocol semantics.
 //
 // The package lives outside the test binaries on purpose: internal/core and
 // the root mbfaa package both import it, which keeps one case matrix and

@@ -214,8 +214,8 @@ func (s *Splitter) placeM4(v *View) []int {
 			cands = append(cands, cand{i, v.Votes[i]})
 		}
 	}
-	// Stable selection: lowest votes first, index as tie-break, so the
-	// deterministic and concurrent engines place identically.
+	// Stable selection: lowest votes first, index as tie-break, so
+	// placement is a pure function of the view.
 	for i := 1; i < len(cands); i++ {
 		for j := i; j > 0 && (cands[j].vote < cands[j-1].vote ||
 			(cands[j].vote == cands[j-1].vote && cands[j].id < cands[j-1].id)); j-- {

@@ -1,22 +1,23 @@
-// Package proptest cross-checks the base+patch round kernel against the
-// naive per-receiver-sort reference over a randomized configuration space.
+// Package proptest cross-checks the base+patch round kernel against a
+// naive per-receiver reference over a randomized configuration space.
 //
-// The reference is the engine's own snapshot path: setting Config.OnRound
-// forces planSendPhase onto the n×n observation matrix, and every receiver
-// then gathers and sorts its full row (computeVote) — exactly the
-// pre-kernel computation. A plain run of the same Config takes the kernel
-// path (shared sorted base + per-receiver patch merge), and RunConcurrent
-// takes the kernel's verified worker path over real message passing. All
-// three must produce bit-identical Results, which this suite asserts via
-// the golden digest (every float folded by bit pattern) across models,
-// algorithms, adversaries (splitter, greedy, random, crash, mixed-mode),
-// seeds, omission-heavy rounds (crash omits everything; random omits 10%)
-// and sub-bound systems (n ≤ bound — the regime ClusterSpec.AllowSubBound
-// opts into; the core engine accepts it directly).
+// The reference lives in this test (naiveReference): an OnRound callback
+// takes every round's full observation matrix and recomputes each
+// non-faulty receiver's vote the pre-kernel way — gather the non-omitted
+// values of its row and apply the voting function with msr.ApplyCapped —
+// and asserts the engine's vote, computed over the shared sorted base plus
+// a per-receiver patch merge, is bit-identical. Whole runs are compared via
+// the golden digest (every float folded by bit pattern). The space covers
+// models, algorithms, adversaries (splitter, greedy, random, crash,
+// mixed-mode), seeds, omission-heavy rounds (crash omits everything; random
+// omits 10%) and sub-bound systems (n ≤ bound — the regime
+// ClusterSpec.AllowSubBound opts into; the core engine accepts it
+// directly).
 package proptest
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -128,9 +129,56 @@ func buildTrials(t *testing.T) []trial {
 	return trials
 }
 
+// naiveReference returns an OnRound callback that recomputes every
+// receiver not faulty during the computation phase from its full matrix
+// row: the non-omitted values go to msr.ApplyCapped, and on total silence
+// the receiver keeps its previous vote. A receiver that was correct during
+// the send phase holds exactly its Expected value; any other receiver's
+// stored value is not part of the snapshot, so silence there is reported
+// as a mismatch against NaN. The test fails unless every engine vote
+// matches the reference bit for bit.
+func naiveReference(t *testing.T, key string, cfg core.Config) func(core.RoundInfo) {
+	tau := cfg.Tau()
+	faulty := make([]bool, cfg.N)
+	values := make([]float64, 0, cfg.N)
+	return func(ri core.RoundInfo) {
+		for i := range faulty {
+			faulty[i] = false
+		}
+		for _, p := range ri.ComputeFaulty {
+			faulty[p] = true
+		}
+		for r := 0; r < cfg.N; r++ {
+			if faulty[r] {
+				continue
+			}
+			row, err := ri.Matrix.Row(r)
+			if err != nil {
+				t.Fatalf("%s round %d: %v", key, ri.Round, err)
+			}
+			values = values[:0]
+			for _, o := range row {
+				if !o.Omitted {
+					values = append(values, o.Value)
+				}
+			}
+			want := ri.Expected[r]
+			if len(values) > 0 {
+				if want, err = msr.ApplyCapped(cfg.Algorithm, values, tau); err != nil {
+					t.Fatalf("%s round %d receiver %d: %v", key, ri.Round, r, err)
+				}
+			}
+			if math.Float64bits(want) != math.Float64bits(ri.Votes[r]) {
+				t.Errorf("%s round %d receiver %d: engine vote %v, naive reference %v",
+					key, ri.Round, r, ri.Votes[r], want)
+			}
+		}
+	}
+}
+
 // TestKernelMatchesNaiveReference is the randomized bit-exactness
-// cross-check: kernel path == matrix reference == concurrent kernel path,
-// digest-identical, for every trial.
+// cross-check: every kernel vote equals the naive reference, and a run
+// with the reference callback attached is digest-identical to a plain run.
 func TestKernelMatchesNaiveReference(t *testing.T) {
 	runner := core.NewRunner()
 	for _, tr := range buildTrials(t) {
@@ -143,25 +191,14 @@ func TestKernelMatchesNaiveReference(t *testing.T) {
 
 		naiveCfg := tr.cfg
 		naiveCfg.Adversary = tr.fresh()
-		naiveCfg.OnRound = func(core.RoundInfo) {} // forces the matrix reference path
+		naiveCfg.OnRound = naiveReference(t, tr.key, naiveCfg)
 		naiveRes, err := runner.Run(naiveCfg)
 		if err != nil {
 			t.Fatalf("%s: naive run: %v", tr.key, err)
 		}
 		if kd, nd := golden.Digest(kernelRes), golden.Digest(naiveRes); kd != nd {
-			t.Errorf("%s: kernel digest %x != naive reference %x\nkernel votes: %v\nnaive votes:  %v",
+			t.Errorf("%s: kernel digest %x != naive reference run %x\nkernel votes: %v\nnaive votes:  %v",
 				tr.key, kd, nd, kernelRes.Votes, naiveRes.Votes)
-			continue
-		}
-
-		concCfg := tr.cfg
-		concCfg.Adversary = tr.fresh()
-		concRes, err := runner.RunConcurrent(concCfg)
-		if err != nil {
-			t.Fatalf("%s: concurrent run: %v", tr.key, err)
-		}
-		if kd, cd := golden.Digest(kernelRes), golden.Digest(concRes); kd != cd {
-			t.Errorf("%s: concurrent kernel digest %x != sequential %x", tr.key, cd, kd)
 		}
 	}
 }
@@ -233,9 +270,10 @@ func TestParallelVoteMatchesSequential(t *testing.T) {
 }
 
 // TestKernelMatchesNaiveWithCheckers repeats a slice of the space with the
-// invariant checkers enabled: the checkers read U, which the kernel path
-// accumulates separately from the base, so the verdicts — violation lists
-// and Theorem 1 certificates — must agree with the matrix reference too.
+// invariant checkers enabled: the checkers read U, which the planner
+// accumulates over scratch for a plain run and freshly for an OnRound
+// snapshot, so the verdicts — violation lists and Theorem 1 certificates —
+// must agree between the two, and the votes with the naive reference.
 func TestKernelMatchesNaiveWithCheckers(t *testing.T) {
 	runner := core.NewRunner()
 	for _, tr := range buildTrials(t) {
@@ -251,7 +289,7 @@ func TestKernelMatchesNaiveWithCheckers(t *testing.T) {
 		}
 		naiveCfg := kernelCfg
 		naiveCfg.Adversary = tr.fresh()
-		naiveCfg.OnRound = func(core.RoundInfo) {}
+		naiveCfg.OnRound = naiveReference(t, tr.key, naiveCfg)
 		naiveRes, err := runner.Run(naiveCfg)
 		if err != nil {
 			t.Fatalf("%s: naive run: %v", tr.key, err)

@@ -51,7 +51,7 @@ type Event struct {
 }
 
 // Recorder accumulates events. It is not safe for concurrent use; the
-// concurrent engine funnels events through its coordinator.
+// engine records from the goroutine running the round loop.
 type Recorder struct {
 	events []Event
 }

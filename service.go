@@ -250,8 +250,8 @@ func (e *Engine) Serve(ctx context.Context, spec ServiceSpec) (*Service, error) 
 	// at Serve, not per Submit). With InputRange unset the placeholder range
 	// 1 stands in; per-instance ranges only change the count, not
 	// feasibility.
-	if _, err := cfgs[0].Rounds(); err != nil {
-		return nil, configErrorf("FixedRounds", "%v", err)
+	if _, err := horizon(cfgs[0], spec.Chaos); err != nil {
+		return nil, err
 	}
 	// Carry the resolved defaults the per-instance path needs.
 	spec.Model, spec.Epsilon, spec.RoundTimeout = cs.Model, cs.Epsilon, cs.RoundTimeout
@@ -452,18 +452,20 @@ func (s *Service) Close() error {
 }
 
 // runInstance executes one instance end to end and publishes its outcome.
+// The instance is counted before it is published, so a caller woken by
+// Await or a Results receive always finds it in Stats.
 func (s *Service) runInstance(h *Handle, inputs []float64) {
 	res, trace, err := s.execute(h.id, inputs)
 	h.res, h.trace, h.err = res, trace, err
-	s.mu.Lock()
-	delete(s.active, h.id)
-	s.mu.Unlock()
-	close(h.done)
 	if err != nil {
 		s.failed.Add(1)
 	} else {
 		s.completed.Add(1)
 	}
+	s.mu.Lock()
+	delete(s.active, h.id)
+	s.mu.Unlock()
+	close(h.done)
 	if s.subscribed.Load() {
 		select {
 		case s.results <- InstanceResult{ID: h.id, Result: res, Trace: trace, Err: err}:
@@ -474,20 +476,11 @@ func (s *Service) runInstance(h *Handle, inputs []float64) {
 	s.inflight.Done()
 }
 
-// roundsFor resolves the round horizon for one instance's input range,
-// applying the same chaos stretch Deploy applies.
+// roundsFor resolves the round horizon for one instance's input range.
 func (s *Service) roundsFor(inputRange float64) (int, error) {
 	cfg := s.cfgs[0]
 	cfg.InputRange = inputRange
-	rounds, err := cfg.Rounds()
-	if err != nil {
-		return 0, configErrorf("FixedRounds", "%v", err)
-	}
-	if s.spec.Chaos.Active() && s.spec.FixedRounds == 0 {
-		rounds = int(math.Ceil(float64(rounds)*(1+2*(s.spec.Chaos.DropRate+s.spec.Chaos.CorruptRate)))) +
-			s.spec.Chaos.HealSpan()
-	}
-	return rounds, nil
+	return horizon(cfg, s.spec.Chaos)
 }
 
 // nodeSet builds or recycles an n-node protocol state set wired to the

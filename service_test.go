@@ -143,6 +143,33 @@ func TestServicePipelined(t *testing.T) {
 	}
 }
 
+// TestServiceAwaitCountedInStats is the regression test for publishing an
+// instance before counting it: once Await returns, Stats must already
+// include the instance. Sequential Submit→Await calls make the expected
+// count exact after every call.
+func TestServiceAwaitCountedInStats(t *testing.T) {
+	const instances = 300
+	spec := serviceSpec()
+	svc, err := mbfaa.NewEngine().Serve(context.Background(), spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = svc.Close() }()
+	for i := 0; i < instances; i++ {
+		h, err := svc.Submit(context.Background(), uint32(i+1), deployInputs(uint64(i), spec.N, 0, 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := svc.Await(context.Background(), h); err != nil {
+			t.Fatalf("instance %d: %v", i+1, err)
+		}
+		if st := svc.Stats(); st.Completed+st.Failed != int64(i+1) {
+			t.Fatalf("after Await %d: completed=%d failed=%d, want %d counted",
+				i+1, st.Completed, st.Failed, i+1)
+		}
+	}
+}
+
 // TestServiceConcurrentGoldenDigests is the tentpole determinism criterion:
 // many concurrent instances each produce a verdict bit-identical to their
 // single-instance Deployment digest, at different concurrency bounds and
