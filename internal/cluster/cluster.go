@@ -992,6 +992,14 @@ closed:
 			}
 		}
 	}
+	if nd.cfg.SyncRounds {
+		// admit held back these frames' liveness evidence until now.
+		for s := range st.slots {
+			if st.seen[s] && nd.lastSeen[s] < round {
+				nd.lastSeen[s] = round
+			}
+		}
+	}
 	// Refresh the stall classification for the next round: a peer whose
 	// newest observed frame trails the round this node is advancing to by
 	// more than k is stalled; it recovers as soon as its frames catch back
@@ -1028,13 +1036,17 @@ closed:
 // admit routes one inbound frame against the pipeline window [round,
 // round+k]. Any frame from an expected sender — stale ones included —
 // refreshes lastSeen: even a too-old frame proves the peer alive, which the
-// stall detector and pacing brake feed on.
+// stall detector and pacing brake feed on. Under SyncRounds a frame for a
+// later round counts only once its round closes: every node closes at its
+// own deadline, so whether a peer's next-round frame lands before this
+// node's close is a scheduling race, and counting it would make
+// StallEvents differ between same-seed runs.
 func (nd *Node) admit(m transport.Message, round int) {
 	if m.From < 0 || m.From >= nd.cfg.N || !nd.inNbr[m.From] {
 		nd.stats.Rejected++
 		return
 	}
-	if m.Round > nd.lastSeen[m.From] {
+	if m.Round > nd.lastSeen[m.From] && (!nd.cfg.SyncRounds || m.Round <= round) {
 		nd.lastSeen[m.From] = m.Round
 	}
 	switch {

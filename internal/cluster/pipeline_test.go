@@ -110,6 +110,40 @@ func TestPipelineAdmitWindow(t *testing.T) {
 	}
 }
 
+// TestSyncRoundsStallEvidenceAtClose pins the replayable stall evidence of
+// chaos deployments: under SyncRounds a frame for a later round proves its
+// sender alive only once that round closes here, never while an earlier
+// round is still open — its arrival before this node's deadline is a
+// scheduling race, and counting it made StallEvents differ between
+// same-seed runs.
+func TestSyncRoundsStallEvidenceAtClose(t *testing.T) {
+	const n, k = 4, 2
+	hub, err := transport.NewChannel(n, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() { _ = hub.Close() }()
+	cfg := pipelineConfigs(n, 6, k, 5*time.Millisecond)[0]
+	cfg.SyncRounds = true
+	nd, err := NewNode(cfg, hub.Link(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	nd.admit(transport.Message{From: 1, Round: 1, Value: 1}, 0) // a round early
+	nd.admit(transport.Message{From: 2, Round: 0, Value: 1}, 0)
+	if nd.lastSeen[1] != -1 || nd.lastSeen[2] != 0 {
+		t.Fatalf("lastSeen = %v while round 0 is open, want sender 1 at -1 and sender 2 at 0", nd.lastSeen)
+	}
+	for round := 0; round < 2; round++ {
+		if _, _, err := nd.collectPipelined(context.Background(), round); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if nd.lastSeen[1] != 1 {
+		t.Fatalf("lastSeen[1] = %d after round 1 closed, want 1", nd.lastSeen[1])
+	}
+}
+
 // TestPipelineCleanRun: on clean in-memory links with no faults the
 // pipelined cluster completes at every depth, decides inside the input
 // range (validity), and still shrinks the decision spread — the quorum

@@ -257,3 +257,66 @@ func TestTCPSurvivesGarbageConnection(t *testing.T) {
 		t.Fatal("legitimate frame not delivered after garbage connection")
 	}
 }
+
+// TestTCPBufferedReaderFraming checks the multi-frame read path: one write
+// carrying a tampered, a valid, a misdirected and a valid frame, then one
+// valid frame split across two writes with a pause between them. Every
+// frame in a read must go through every check (the pooled MAC state is
+// reused right after a failed verification), and the split frame's partial
+// tail must be carried into the next read, not dropped or misaligned.
+func TestTCPBufferedReaderFraming(t *testing.T) {
+	nodes, err := NewTCPMesh(2, testKey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer closeAll(t, nodes)
+
+	codec, _ := NewCodec(testKey)
+	encode := func(m Message) []byte {
+		t.Helper()
+		frame, err := codec.Encode(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return frame
+	}
+	tampered := encode(Message{Round: 0, From: 0, To: 1, Value: 666})
+	tampered[30] ^= 0xff
+	var burst []byte
+	burst = append(burst, tampered...)
+	burst = append(burst, encode(Message{Round: 0, From: 0, To: 1, Value: 10})...)
+	burst = append(burst, encode(Message{Round: 1, From: 0, To: 0, Value: 666})...)
+	burst = append(burst, encode(Message{Round: 1, From: 0, To: 1, Value: 11})...)
+	split := encode(Message{Round: 2, From: 0, To: 1, Value: 12})
+
+	conn := dialRaw(t, nodes[1].Addr())
+	defer func() { _ = conn.Close() }()
+	if _, err := conn.Write(burst); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := conn.Write(split[:FrameSize/2-3]); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(50 * time.Millisecond)
+	if _, err := conn.Write(split[FrameSize/2-3:]); err != nil {
+		t.Fatal(err)
+	}
+
+	for want := 0; want < 3; want++ {
+		select {
+		case m := <-nodes[1].Recv():
+			if m.Round != want || m.Value != float64(10+want) {
+				t.Fatalf("delivery %d = %+v, want round %d value %d", want, m, want, 10+want)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("only %d of 3 valid frames delivered", want)
+		}
+	}
+	if got := nodes[1].AuthFailures(); got != 1 {
+		t.Errorf("AuthFailures = %d, want 1", got)
+	}
+	if got := nodes[1].MisdirectDrops(); got != 1 {
+		t.Errorf("MisdirectDrops = %d, want 1", got)
+	}
+	expectNoDelivery(t, nodes[1])
+}

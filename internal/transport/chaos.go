@@ -648,7 +648,8 @@ func (c *Chaos) process(m Message, deliver func(Message) error, disrupt func(int
 // refused it. The frame is dropped either way; corruption is counted, never
 // silently delivered wrong.
 func (c *Chaos) mangle(m Message, src *prng.Source) {
-	frame, err := c.codec.Encode(m)
+	var buf [FrameSize]byte
+	frame, err := c.codec.AppendEncode(buf[:0], m)
 	if err != nil {
 		return // unencodable (NaN): dropping it is the chaos outcome anyway
 	}

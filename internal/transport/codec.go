@@ -12,7 +12,9 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash"
 	"math"
+	"sync"
 )
 
 // Message is one protocol message: a round-stamped vote (or an explicit
@@ -77,9 +79,22 @@ func (e *VersionError) Error() string {
 func (e *VersionError) Unwrap() error { return ErrBadVersion }
 
 // Codec encodes and authenticates messages with a shared symmetric key.
-// The zero value is unusable; construct with NewCodec.
+// The zero value is unusable; construct with NewCodec. A Codec is safe for
+// concurrent use: each call borrows a keyed HMAC state from a pool and
+// resets it, so the steady state allocates nothing per frame.
 type Codec struct {
-	key []byte
+	key  []byte
+	macs sync.Pool // *macState keyed with key
+}
+
+// macState is one keyed HMAC-SHA256 with scratch for its input and output.
+// Frame bytes are copied into hdr before hashing, so neither a caller's
+// buffer nor a stack array is handed to the hash.Hash interface (which
+// would move it to the heap).
+type macState struct {
+	mac hash.Hash
+	hdr [headerLen]byte
+	sum [macSize]byte
 }
 
 // NewCodec returns a Codec using the given shared key. The key is copied.
@@ -89,15 +104,49 @@ func NewCodec(key []byte) (*Codec, error) {
 	if len(key) == 0 {
 		return nil, errors.New("transport: empty authentication key")
 	}
-	return &Codec{key: append([]byte(nil), key...)}, nil
+	c := &Codec{key: append([]byte(nil), key...)}
+	c.macs.New = func() any { return &macState{mac: hmac.New(sha256.New, c.key)} }
+	return c, nil
 }
 
-// Encode serializes and signs a message into a FrameSize-byte frame.
-func (c *Codec) Encode(m Message) ([]byte, error) {
+// sign writes the HMAC of a frame header into sum.
+func (c *Codec) sign(header []byte, sum *[macSize]byte) {
+	st := c.macs.Get().(*macState)
+	copy(st.hdr[:], header)
+	st.mac.Reset()
+	st.mac.Write(st.hdr[:])
+	st.mac.Sum(st.sum[:0])
+	*sum = st.sum
+	c.macs.Put(st)
+}
+
+// checkValue rejects the one message no frame may carry: a NaN vote.
+func checkValue(m Message) error {
 	if math.IsNaN(m.Value) && !m.Omitted {
-		return nil, ErrBadValue
+		return ErrBadValue
 	}
-	buf := make([]byte, FrameSize)
+	return nil
+}
+
+// Encode serializes and signs a message into a new FrameSize-byte frame.
+func (c *Codec) Encode(m Message) ([]byte, error) {
+	frame, err := c.AppendEncode(make([]byte, 0, FrameSize), m)
+	if err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// AppendEncode appends m's signed FrameSize-byte frame to dst and returns
+// the extended slice; it allocates only if dst lacks the capacity. On
+// error dst is returned unchanged.
+func (c *Codec) AppendEncode(dst []byte, m Message) ([]byte, error) {
+	if err := checkValue(m); err != nil {
+		return dst, err
+	}
+	start := len(dst)
+	dst = append(dst, make([]byte, FrameSize)...)
+	buf := dst[start:]
 	binary.BigEndian.PutUint16(buf[0:2], frameMagic)
 	buf[2] = frameVersion
 	var flags byte
@@ -115,13 +164,12 @@ func (c *Codec) Encode(m Message) ([]byte, error) {
 		value = 0 // canonical encoding: omissions carry no value
 	}
 	binary.BigEndian.PutUint64(buf[28:36], math.Float64bits(value))
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(buf[:headerLen])
-	copy(buf[headerLen:], mac.Sum(nil))
-	return buf, nil
+	c.sign(buf[:headerLen], (*[macSize]byte)(buf[headerLen:FrameSize]))
+	return dst, nil
 }
 
-// Decode verifies and parses a frame.
+// Decode verifies and parses a frame. It allocates nothing on success or
+// on a MAC failure.
 func (c *Codec) Decode(frame []byte) (Message, error) {
 	if len(frame) < FrameSize {
 		return Message{}, fmt.Errorf("%w: %d bytes", ErrShortFrame, len(frame))
@@ -132,9 +180,9 @@ func (c *Codec) Decode(frame []byte) (Message, error) {
 	if frame[2] != frameVersion {
 		return Message{}, &VersionError{Got: frame[2], Want: frameVersion}
 	}
-	mac := hmac.New(sha256.New, c.key)
-	mac.Write(frame[:headerLen])
-	if !hmac.Equal(mac.Sum(nil), frame[headerLen:FrameSize]) {
+	var sum [macSize]byte
+	c.sign(frame[:headerLen], &sum)
+	if !hmac.Equal(sum[:], frame[headerLen:FrameSize]) {
 		return Message{}, ErrBadMAC
 	}
 	m := Message{

@@ -2,15 +2,58 @@ package transport
 
 import (
 	"bytes"
+	"crypto/hmac"
+	"crypto/sha256"
+	"encoding/binary"
+	"errors"
 	"math"
 	"testing"
 )
 
+// refDecode is a one-shot reference for Codec.Decode: the same checks in
+// the same order (length, magic, version, MAC, NaN), with a fresh
+// hmac.New per call instead of a pooled, reset state.
+func refDecode(key, frame []byte) (Message, error) {
+	if len(frame) < FrameSize {
+		return Message{}, ErrShortFrame
+	}
+	if binary.BigEndian.Uint16(frame) != frameMagic {
+		return Message{}, ErrBadMagic
+	}
+	if frame[2] != frameVersion {
+		return Message{}, ErrBadVersion
+	}
+	mac := hmac.New(sha256.New, key)
+	mac.Write(frame[:headerLen])
+	if !hmac.Equal(mac.Sum(nil), frame[headerLen:FrameSize]) {
+		return Message{}, ErrBadMAC
+	}
+	m := Message{
+		Round:    int(binary.BigEndian.Uint64(frame[4:])),
+		From:     int(binary.BigEndian.Uint32(frame[12:])),
+		To:       int(binary.BigEndian.Uint32(frame[16:])),
+		Instance: binary.BigEndian.Uint32(frame[20:]),
+		Seq:      binary.BigEndian.Uint32(frame[24:]),
+		Value:    math.Float64frombits(binary.BigEndian.Uint64(frame[28:])),
+		Omitted:  frame[3]&flagOmitted != 0,
+	}
+	if m.Omitted {
+		m.Value = 0
+	}
+	if math.IsNaN(m.Value) {
+		return Message{}, ErrBadValue
+	}
+	return m, nil
+}
+
 // FuzzDecode feeds arbitrary bytes to the frame decoder: it must never
-// panic, and whatever it accepts must re-encode to the identical frame
-// (decode∘encode is the identity on valid frames).
+// panic, it must agree with the one-shot reference decoder on every input —
+// decoded twice in a row, so HMAC state leaking from one frame into the
+// next fails — and whatever it accepts must re-encode to the identical
+// frame (decode∘encode is the identity on valid frames).
 func FuzzDecode(f *testing.F) {
-	codec, err := NewCodec([]byte("fuzz-key"))
+	key := []byte("fuzz-key")
+	codec, err := NewCodec(key)
 	if err != nil {
 		f.Fatal(err)
 	}
@@ -62,9 +105,19 @@ func FuzzDecode(f *testing.F) {
 	f.Add(mangled)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := codec.Decode(data)
+		want, wantErr := refDecode(key, data)
+		var m Message
+		for pass := 0; pass < 2; pass++ {
+			m, err = codec.Decode(data)
+			if (err == nil) != (wantErr == nil) || (err != nil && !errors.Is(err, wantErr)) {
+				t.Fatalf("pass %d: Decode err = %v, reference err = %v", pass, err, wantErr)
+			}
+			if m != want {
+				t.Fatalf("pass %d: Decode = %+v, reference = %+v", pass, m, want)
+			}
+		}
 		if err != nil {
-			return // rejected: fine
+			return // rejected by both: fine
 		}
 		// Accepted frames must round-trip exactly.
 		re, err := codec.Encode(m)
@@ -94,6 +147,11 @@ func FuzzEncodeDecode(f *testing.F) {
 				return // the documented rejection
 			}
 			t.Fatalf("encode rejected %+v: %v", m, err)
+		}
+		prefix := []byte{0xAA, 0x55, 0x01}
+		appended, err := codec.AppendEncode(bytes.Clone(prefix), m)
+		if err != nil || !bytes.Equal(appended, append(prefix, frame...)) {
+			t.Fatalf("AppendEncode = %x, %v; want prefix + %x", appended, err, frame)
 		}
 		got, err := codec.Decode(frame)
 		if err != nil {

@@ -3,7 +3,6 @@ package transport
 import (
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -76,6 +75,7 @@ type TCPNode struct {
 	conns      map[int]net.Conn  // outgoing synchronous Sends, keyed by peer id
 	outs       map[int]*peerOut  // outgoing batched/pipelined writers, keyed by peer id
 	accepted   map[net.Conn]bool // inbound, owned until their readLoop exits
+	sendFrame  [FrameSize]byte   // synchronous Send's encode scratch
 	down       bool
 	retry      RetryPolicy       // reconnect policy the batch writers heal under
 	dialFaults DialFaultInjector // optional seeded dial-failure injection (chaos)
@@ -182,8 +182,7 @@ func (nd *TCPNode) Send(m Message) error {
 		return fmt.Errorf("transport: destination %d out of range [0,%d)", m.To, nd.n)
 	}
 	m.From = nd.id
-	frame, err := nd.codec.Encode(m)
-	if err != nil {
+	if err := checkValue(m); err != nil {
 		return err
 	}
 	nd.mu.Lock()
@@ -213,8 +212,14 @@ func (nd *TCPNode) Send(m Message) error {
 			conn = c
 		}
 	}
-	// The write stays under nd.mu: concurrent Sends to one peer must not
-	// interleave frame bytes on the shared connection.
+	// Encoding and the write stay under nd.mu: Sends share the frame
+	// scratch, and concurrent Sends to one peer must not interleave frame
+	// bytes on the shared connection.
+	frame, err := nd.codec.AppendEncode(nd.sendFrame[:0], m)
+	if err != nil {
+		nd.mu.Unlock()
+		return err
+	}
 	if _, err := conn.Write(frame); err != nil {
 		_ = conn.Close()
 		delete(nd.conns, m.To)
@@ -252,12 +257,12 @@ func (nd *TCPNode) dialPeer(to int) (net.Conn, error) {
 }
 
 // SendBatch implements BatchSender: the whole send phase is handed over in
-// one call. Frames are encoded up front, grouped by destination, and
-// appended to per-peer outbound buffers drained by one writer goroutine per
-// peer — so the caller never blocks on a socket, and when the protocol
-// pipelines into the next round before a writer drains, consecutive rounds'
-// frames to the same peer coalesce into a single write (one write per
-// (round, peer) batch instead of one per message, fewer under load).
+// one call. Each frame is encoded straight into its destination's outbound
+// buffer, drained by one writer goroutine per peer — so the caller never
+// blocks on a socket, and when the protocol pipelines into the next round
+// before a writer drains, consecutive rounds' frames to the same peer
+// coalesce into a single write (one write per (round, peer) batch instead
+// of one per message, fewer under load).
 //
 // Messages are stamped with the local identity in place. A lost connection
 // does not surface here: the peer's writer retains the frames and heals
@@ -272,15 +277,14 @@ func (nd *TCPNode) SendBatch(ms []Message) error {
 		ms[i].From = nd.id
 	}
 	for i := range ms {
-		frame, err := nd.codec.Encode(ms[i])
-		if err != nil {
+		if err := checkValue(ms[i]); err != nil {
 			return err
 		}
 		out, err := nd.peer(ms[i].To)
 		if err != nil {
 			return err
 		}
-		if err := out.enqueue(frame); err != nil {
+		if err := out.enqueue(ms[i]); err != nil {
 			return fmt.Errorf("transport: batch write to node %d: %w", ms[i].To, err)
 		}
 		nd.framesSent.Add(1)
@@ -329,7 +333,7 @@ func (nd *TCPNode) Close() error {
 		out.close()
 	}
 	// Inbound connections must be closed too: their reader goroutines
-	// otherwise block in ReadFull until the remote peer closes, which
+	// otherwise block in Read until the remote peer closes, which
 	// deadlocks whichever mesh node closes first.
 	for c := range nd.accepted {
 		_ = c.Close()
@@ -505,8 +509,18 @@ func (nd *TCPNode) acceptLoop() {
 	}
 }
 
-// readLoop consumes fixed-size frames from one inbound connection. Frames
-// are fixed-width, so a tampered frame does not desynchronize the stream.
+// readBufFrames bounds each inbound connection's read buffer: one read
+// takes up to this many frames (about 1 KB), all decoded in place. It
+// covers the few frames a coalesced peer write carries; a larger buffer
+// only grows the resident heap across the mesh's n² connections.
+const readBufFrames = 16
+
+// readLoop consumes fixed-size frames from one inbound connection, as many
+// per read as have arrived. A partial frame at the end of a read is kept
+// for the next one, and dropped with the connection when it closes: the
+// sender resends an interrupted frame whole over its next connection.
+// Frames are fixed-width, so a tampered frame does not desynchronize the
+// stream.
 func (nd *TCPNode) readLoop(conn net.Conn) {
 	defer nd.wg.Done()
 	defer func() {
@@ -515,43 +529,61 @@ func (nd *TCPNode) readLoop(conn net.Conn) {
 		delete(nd.accepted, conn)
 		nd.mu.Unlock()
 	}()
-	buf := make([]byte, FrameSize)
+	buf := make([]byte, readBufFrames*FrameSize)
+	have := 0
 	for {
-		if _, err := io.ReadFull(conn, buf); err != nil {
+		n, err := conn.Read(buf[have:])
+		have += n
+		off := 0
+		for ; have-off >= FrameSize; off += FrameSize {
+			if !nd.receive(buf[off : off+FrameSize]) {
+				return
+			}
+		}
+		have = copy(buf, buf[off:have])
+		if err != nil {
 			return
 		}
-		m, err := nd.codec.Decode(buf)
-		switch {
-		case errors.Is(err, ErrBadMAC):
-			nd.authFailures.Add(1)
-			continue
-		case err != nil:
-			// Malformed beyond authentication: drop the connection; a
-			// correct peer never produces such frames.
-			return
-		}
-		if m.To != nd.id {
-			nd.misdirectDrops.Add(1)
-			continue
-		}
-		nd.filterMu.Lock()
-		fresh := nd.filter.admit(m.From, m.Instance, m.Round, m.Seq)
-		nd.filterMu.Unlock()
-		if !fresh {
-			nd.replayDrops.Add(1)
-			continue
-		}
-		// An authenticated, fresh frame is proof its sender is back: let it
-		// resurrect an outbound pipeline that had gone down.
-		if nd.downPeers.Load() > 0 {
-			nd.resurrect(m.From)
-		}
-		select {
-		case nd.inbox <- m:
-			nd.framesRecv.Add(1)
-		case <-nd.closed:
-			return
-		}
+	}
+}
+
+// receive runs one inbound frame through authentication, destination and
+// replay checks, in that order, and hands a survivor to the inbox. It
+// reports false when the connection must be dropped: a frame malformed
+// beyond authentication, or the node closing.
+func (nd *TCPNode) receive(frame []byte) bool {
+	m, err := nd.codec.Decode(frame)
+	switch {
+	case errors.Is(err, ErrBadMAC):
+		nd.authFailures.Add(1)
+		return true
+	case err != nil:
+		// Malformed beyond authentication: drop the connection; a
+		// correct peer never produces such frames.
+		return false
+	}
+	if m.To != nd.id {
+		nd.misdirectDrops.Add(1)
+		return true
+	}
+	nd.filterMu.Lock()
+	fresh := nd.filter.admit(m.From, m.Instance, m.Round, m.Seq)
+	nd.filterMu.Unlock()
+	if !fresh {
+		nd.replayDrops.Add(1)
+		return true
+	}
+	// An authenticated, fresh frame is proof its sender is back: let it
+	// resurrect an outbound pipeline that had gone down.
+	if nd.downPeers.Load() > 0 {
+		nd.resurrect(m.From)
+	}
+	select {
+	case nd.inbox <- m:
+		nd.framesRecv.Add(1)
+		return true
+	case <-nd.closed:
+		return false
 	}
 }
 
@@ -585,9 +617,9 @@ func (s PeerState) String() string {
 	}
 }
 
-// peerOut is the outbound pipeline to one peer: callers append encoded
-// frames to pending under mu; a dedicated writer goroutine swaps the buffer
-// out and writes it in one call. pending and spare double-buffer so the
+// peerOut is the outbound pipeline to one peer: callers encode frames
+// straight onto pending under mu; a dedicated writer goroutine swaps the
+// buffer out and writes it in one call. pending and spare double-buffer so the
 // steady state allocates nothing. The writer self-heals: a write or dial
 // failure degrades the pipeline and triggers backoff-governed redialing
 // rather than a terminal error.
@@ -613,11 +645,11 @@ const (
 	peerCloseGrace  = 2 * time.Second
 )
 
-// enqueue appends one frame for the writer to pick up. Frames to a down
-// peer are counted drops, never errors: the cluster layer already scores a
-// silent peer as per-round omissions, so a dead connection degrades the
-// link instead of erroring the run.
-func (p *peerOut) enqueue(frame []byte) error {
+// enqueue encodes m onto the pending buffer for the writer to pick up.
+// Frames to a down peer are counted drops, never errors: the cluster layer
+// already scores a silent peer as per-round omissions, so a dead connection
+// degrades the link instead of erroring the run.
+func (p *peerOut) enqueue(m Message) error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.closed {
@@ -627,7 +659,11 @@ func (p *peerOut) enqueue(frame []byte) error {
 		p.nd.peerDownDrops.Add(1)
 		return nil
 	}
-	p.pending = append(p.pending, frame...)
+	pending, err := p.nd.codec.AppendEncode(p.pending, m)
+	if err != nil {
+		return err
+	}
+	p.pending = pending
 	p.cond.Signal()
 	return nil
 }
